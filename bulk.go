@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"walrus/internal/region"
 	"walrus/internal/rstar"
 )
 
@@ -25,6 +26,7 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 		return nil, err
 	}
 	extracted, errs := db.extractAll(items, workers)
+	db.sigs = make([]float64, 0, countRegions(extracted)*opts.Region.Dim())
 
 	var rects []rstar.Rect
 	var payloads []int64
@@ -41,7 +43,7 @@ func BuildFrom(opts Options, items []BatchItem, workers int) (*DB, error) {
 		for local, r := range extracted[i] {
 			payloads = append(payloads, int64(len(db.refs)))
 			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local})
-			db.bsigs = append(db.bsigs, makeBinSig(r.Signature))
+			db.sigs = append(db.sigs, r.Signature...)
 			rects = append(rects, signatureRect(opts.UseBBox, r))
 		}
 	}
@@ -83,6 +85,7 @@ func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 		return nil, errors.Join(err, db.Close())
 	}
 	extracted, errs := db.extractAll(items, workers)
+	db.sigs = make([]float64, 0, countRegions(extracted)*opts.Region.Dim())
 
 	var rects []rstar.Rect
 	var payloads []int64
@@ -107,7 +110,7 @@ func CreateFrom(dir string, opts Options, items []BatchItem, workers int) (*DB, 
 			}
 			payloads = append(payloads, int64(len(db.refs)))
 			db.refs = append(db.refs, regionRef{Image: imgIdx, Local: local, RID: rid.Pack()})
-			db.bsigs = append(db.bsigs, makeBinSig(r.Signature))
+			db.sigs = append(db.sigs, r.Signature...)
 			rects = append(rects, signatureRect(opts.UseBBox, r))
 		}
 	}
@@ -165,4 +168,14 @@ func (db *DB) endBulkLoad() error {
 	p.unlogged = false
 	p.pool.SetFlushHook(p.flushHook)
 	return db.checkpointLocked(false)
+}
+
+// countRegions totals the regions of a batch, so bulk loads can size the
+// signature slab exactly instead of growing it row by row.
+func countRegions(extracted [][]region.Region) int {
+	n := 0
+	for _, rs := range extracted {
+		n += len(rs)
+	}
+	return n
 }

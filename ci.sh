@@ -37,11 +37,12 @@
 #      live listener. The load harness itself runs via `walrus-bench
 #      -exp serve` and writes BENCH_serve.json; it is not part of the
 #      CI gate.
-#   1g. filter tier: runs the prefilter determinism matrix (Parallelism
-#      {1,8} x shards {1,4} must reproduce the no-prefilter oracle both
-#      with accept-all bounds and at the default derived bounds) and the
-#      result-cache protocol suite (hit/miss/bypass, write invalidation,
-#      churn) under the race detector
+#   1g. probe + cache tier: runs the flat-probe suite (the early abandon
+#      at the exact ε boundary, the chunked scan against brute force, and
+#      the differential test against the R*-tree probe over shards {1,4}
+#      x Parallelism {1,8}, memory, disk, reopened and crash-recovered
+#      databases) and the result-cache protocol suite (hit/miss/bypass,
+#      write invalidation, churn) under the race detector
 #   2. full test suite
 #   3. vulnerability scan (default, non-fatal): govulncheck runs on
 #      every CI pass when available, installing a pinned version into
@@ -107,7 +108,7 @@ tier "tier 1: snapshot (acquire/release vs publish, leak check)" go test -race -
 tier "tier 1: shard (determinism matrix, crash recovery, fan-out oracle)" go test -race -count=1 -run 'TestShard' .
 tier "tier 1: explain (trace completeness, funnel determinism, schema golden)" go test -race -count=1 -run 'TestTrace|TestExplain' ./...
 tier "tier 1: serve (handlers, admission, coalescing, graceful drain)" go test -race -count=1 -run 'TestServe' ./...
-tier "tier 1: filter (prefilter determinism matrix, result-cache protocol)" go test -race -count=1 -run 'TestPrefilter|TestQueryCache' ./...
+tier "tier 1: probe + cache (flat probe vs R*-tree differential, result-cache protocol)" go test -race -count=1 -run 'TestFlatProbe|TestQueryCache' ./...
 
 tier "tier 2: full tests" go test ./...
 

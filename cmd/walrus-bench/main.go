@@ -43,7 +43,7 @@ func main() {
 		par         = flag.Int("parallelism", 0, "worker pool size for the parallel experiment (0 = GOMAXPROCS)")
 		obsOut      = flag.String("obs-json", "BENCH_obs.json", "output file for the obs-overhead measurement")
 		explainOut  = flag.String("explain-json", "BENCH_explain.json", "output file for the explain-overhead measurement")
-		filterOut   = flag.String("filter-json", "BENCH_filter.json", "output file for the prefilter/result-cache measurement")
+		filterOut   = flag.String("filter-json", "BENCH_filter.json", "output file for the result-cache measurement")
 		snapOut     = flag.String("snapshot-json", "BENCH_snapshot.json", "output file for the snapshot churn measurement")
 		shardOut    = flag.String("shard-json", "BENCH_shard.json", "output file for the shard write-scaling measurement")
 		shardBase   = flag.Int("shard-base", 100000, "preloaded signatures for the shard experiment")
@@ -254,14 +254,14 @@ func main() {
 	}
 
 	if want("filter") {
-		fmt.Fprintln(out, "== Coarse-to-fine tiers: prefilter candidate reduction and warm-cache latency ==")
+		fmt.Fprintln(out, "== Result cache: warm-cache latency against the exact pipeline ==")
 		res, err := experiments.FilterBench(ds, cfg.Options, 24, 20, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
 		experiments.PrintFilterBench(out, res)
 		if !res.Identical {
-			log.Fatal("prefiltered ranking diverges from the exact pipeline")
+			log.Fatal("cached ranking diverges from the exact pipeline")
 		}
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {

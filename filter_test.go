@@ -6,41 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"walrus/internal/imgio"
 	"walrus/internal/obs"
 )
-
-// queryBackend is the query surface shared by DB and Sharded, letting
-// the determinism matrix run the same assertions over both.
-type queryBackend interface {
-	Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, error)
-}
-
-// filterBackend builds a corpus-loaded backend with the given shard
-// count (1 means a plain DB, so both code paths are exercised).
-func filterBackend(t *testing.T, items []BatchItem, shards int) queryBackend {
-	t.Helper()
-	if shards == 1 {
-		db, err := New(testOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.AddBatch(items, 0); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	opts := testOptions()
-	opts.Shards = shards
-	s, err := NewSharded(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddBatch(items, 0); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 // assertSameAnswer fails unless two query executions agree on the full
 // observable result: ranking, similarities, region counts, and the
@@ -59,99 +26,6 @@ func assertSameAnswer(t *testing.T, label string, ma []Match, sa QueryStats, mb 
 			ma[i].MatchingRegions != mb[i].MatchingRegions {
 			t.Fatalf("%s: rank %d differs: %+v vs %+v", label, i, ma[i], mb[i])
 		}
-	}
-}
-
-// TestPrefilterDeterminism pins the prefilter tier's correctness claim
-// across the full execution matrix — Parallelism {1,8} x shards {1,4}:
-// with bounds wide enough to accept everything the answer is identical
-// to the no-prefilter oracle by construction, and at the default derived
-// bounds the filter is conservative (it only rejects hits the exact
-// euclidean check would reject anyway), so the answer is still
-// identical — only the per-candidate work changes.
-func TestPrefilterDeterminism(t *testing.T) {
-	items := corpus50(t)
-	queries := []*imgio.Image{
-		items[0].Image,
-		items[11].Image,
-		scene(green, red, 24, 24, 40),
-		scene(gray, blue, 40, 40, 44),
-	}
-	for _, shards := range []int{1, 4} {
-		backend := filterBackend(t, items, shards)
-		for _, par := range []int{1, 8} {
-			for _, refine := range []bool{false, true} {
-				base := DefaultQueryParams()
-				base.Parallelism = par
-				base.Refine = refine
-				variants := map[string]QueryParams{
-					"accept-all": func() QueryParams {
-						p := base
-						p.Prefilter = true
-						p.PrefilterHamming = binSigBits // no Hamming distance exceeds the bit width
-						p.PrefilterBeta = 1e9
-						return p
-					}(),
-					"default-bounds": func() QueryParams {
-						p := base
-						p.Prefilter = true
-						return p
-					}(),
-				}
-				for qi, q := range queries {
-					om, os, err := backend.Query(q, base)
-					if err != nil {
-						t.Fatalf("oracle query: %v", err)
-					}
-					for name, p := range variants {
-						label := fmt.Sprintf("shards=%d par=%d refine=%v %s q%d", shards, par, refine, name, qi)
-						pm, pst, err := backend.Query(q, p)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						assertSameAnswer(t, label, om, os, pm, pst)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPrefilterReducesWork checks the tier actually filters: on the
-// synthetic corpus the default bounds must reject some probe hits
-// before scoring, visible as a smaller retrieved-region count in the
-// EXPLAIN funnel's prefilter row.
-func TestPrefilterReducesWork(t *testing.T) {
-	items := corpus50(t)
-	db, err := New(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AddBatch(items, 0); err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultQueryParams()
-	p.Prefilter = true
-	ctx, qt := WithQueryTrace(context.Background())
-	s, err := db.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	if _, _, err := s.QueryContext(ctx, items[0].Image, p); err != nil {
-		t.Fatal(err)
-	}
-	var in, out int
-	for _, st := range qt.Stages {
-		if st.Stage == "prefilter" {
-			in, out = st.In, st.Out
-		}
-	}
-	if in == 0 {
-		t.Fatal("explain funnel has no prefilter row")
-	}
-	if out >= in {
-		t.Fatalf("prefilter rejected nothing: in=%d out=%d", in, out)
 	}
 }
 

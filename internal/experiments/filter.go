@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -13,35 +12,25 @@ import (
 	"walrus/internal/dataset"
 )
 
-// FilterBenchResult measures the coarse-to-fine query tier on a
-// disk-backed index: how many probe candidates the binary-signature
-// prefilter rejects before exact distance work, and what the
-// version-keyed result cache saves on a repeated query. Latencies are
-// per-query percentiles over queries x rounds serial samples.
+// FilterBenchResult measures the version-keyed result cache on a
+// disk-backed index: what a warmed cache saves on a repeated query over
+// the exact pipeline. Latencies are per-query percentiles over queries x
+// rounds serial samples.
 type FilterBenchResult struct {
 	Images          int `json:"images"`
 	QueriesPerRound int `json:"queries_per_round"`
 	Rounds          int `json:"rounds"`
 
-	// Exact pipeline: prefilter off, no cache.
+	// Exact pipeline, no cache.
 	ColdP50Ns int64 `json:"cold_p50_ns"`
 	ColdP99Ns int64 `json:"cold_p99_ns"`
-	// Prefilter tier on, no cache.
-	PrefilterP50Ns int64 `json:"prefilter_p50_ns"`
-	PrefilterP99Ns int64 `json:"prefilter_p99_ns"`
 	// Result cache on and warmed: every sample is a hit.
 	WarmCacheP50Ns int64 `json:"warm_cache_p50_ns"`
 	WarmCacheP99Ns int64 `json:"warm_cache_p99_ns"`
 
-	// The prefilter row of one explained query: probe hits in, survivors
-	// out, and the rejected fraction.
-	CandidatesIn  int     `json:"prefilter_candidates_in"`
-	CandidatesOut int     `json:"prefilter_candidates_out"`
-	ReductionPct  float64 `json:"prefilter_reduction_pct"`
-
 	// WarmCacheSpeedup is cold p50 over warm-cache p50.
 	WarmCacheSpeedup float64 `json:"warm_cache_speedup"`
-	// Identical reports that the prefiltered ranking matched the exact
+	// Identical reports that the cached ranking matched the exact
 	// pipeline's on every sampled query.
 	Identical bool `json:"identical"`
 }
@@ -58,10 +47,9 @@ func percentileNS(samples []time.Duration, q float64) int64 {
 }
 
 // FilterBench builds a disk-backed index over up to images dataset
-// items, then samples per-query latency in three configurations — exact
-// pipeline, prefilter tier on, and warmed result cache — interleaving
-// configurations within each round so background noise hits all of them
-// alike.
+// items, then samples per-query latency in two configurations — exact
+// pipeline and warmed result cache — interleaving configurations within
+// each round so background noise hits both alike.
 func FilterBench(ds *dataset.Dataset, opts walrus.Options, images, queries, rounds int) (FilterBenchResult, error) {
 	if len(ds.Items) == 0 {
 		return FilterBenchResult{}, fmt.Errorf("experiments: empty dataset")
@@ -89,49 +77,34 @@ func FilterBench(ds *dataset.Dataset, opts walrus.Options, images, queries, roun
 
 	exact := walrus.DefaultQueryParams()
 	exact.Parallelism = 1 // serial: measure the hot path, not the scheduler
-	pre := exact
-	pre.Prefilter = true
 	q := ds.Items[0].Image
 
 	res := FilterBenchResult{Images: images, QueriesPerRound: queries, Rounds: rounds, Identical: true}
 
-	// Correctness first: the prefiltered ranking must reproduce the
-	// exact pipeline's answer on every query image we sample from.
-	for i := 0; i < images; i++ {
+	// Correctness first: a cache hit must reproduce the exact pipeline's
+	// answer on every query image we sample from.
+	db.SetCacheSize(images)
+	for i := 0; i < images && res.Identical; i++ {
 		me, _, err := db.Query(ds.Items[i].Image, exact)
 		if err != nil {
 			return res, err
 		}
-		mp, _, err := db.Query(ds.Items[i].Image, pre)
+		mc, st, err := db.Query(ds.Items[i].Image, exact)
 		if err != nil {
 			return res, err
 		}
-		if len(me) != len(mp) {
+		if st.Cache != "hit" || len(me) != len(mc) {
 			res.Identical = false
 			break
 		}
 		for j := range me {
-			if me[j].ID != mp[j].ID || me[j].Similarity != mp[j].Similarity {
+			if me[j].ID != mc[j].ID || me[j].Similarity != mc[j].Similarity {
 				res.Identical = false
 				break
 			}
 		}
 	}
-
-	// The prefilter row of one explained query gives the candidate-set
-	// reduction the tier achieved.
-	ctx, qt := walrus.WithQueryTrace(context.Background())
-	if _, _, err := db.QueryContext(ctx, q, pre); err != nil {
-		return res, err
-	}
-	for _, st := range qt.Stages {
-		if st.Stage == "prefilter" {
-			res.CandidatesIn, res.CandidatesOut = st.In, st.Out
-		}
-	}
-	if res.CandidatesIn > 0 {
-		res.ReductionPct = float64(res.CandidatesIn-res.CandidatesOut) / float64(res.CandidatesIn) * 100
-	}
+	db.SetCacheSize(0)
 
 	sample := func(p walrus.QueryParams, out *[]time.Duration) error {
 		for i := 0; i < queries; i++ {
@@ -143,7 +116,7 @@ func FilterBench(ds *dataset.Dataset, opts walrus.Options, images, queries, roun
 		}
 		return nil
 	}
-	var cold, prefiltered, warm []time.Duration
+	var cold, warm []time.Duration
 	if err := sample(exact, &cold); err != nil { // warm-up, discarded
 		return res, err
 	}
@@ -151,9 +124,6 @@ func FilterBench(ds *dataset.Dataset, opts walrus.Options, images, queries, roun
 	for r := 0; r < rounds; r++ {
 		db.SetCacheSize(0)
 		if err := sample(exact, &cold); err != nil {
-			return res, err
-		}
-		if err := sample(pre, &prefiltered); err != nil {
 			return res, err
 		}
 		db.SetCacheSize(16)
@@ -168,8 +138,6 @@ func FilterBench(ds *dataset.Dataset, opts walrus.Options, images, queries, roun
 
 	res.ColdP50Ns = percentileNS(cold, 0.50)
 	res.ColdP99Ns = percentileNS(cold, 0.99)
-	res.PrefilterP50Ns = percentileNS(prefiltered, 0.50)
-	res.PrefilterP99Ns = percentileNS(prefiltered, 0.99)
 	res.WarmCacheP50Ns = percentileNS(warm, 0.50)
 	res.WarmCacheP99Ns = percentileNS(warm, 0.99)
 	if res.WarmCacheP50Ns > 0 {
@@ -178,14 +146,11 @@ func FilterBench(ds *dataset.Dataset, opts walrus.Options, images, queries, roun
 	return res, nil
 }
 
-// PrintFilterBench renders the coarse-to-fine tier measurement.
+// PrintFilterBench renders the result-cache measurement.
 func PrintFilterBench(w io.Writer, r FilterBenchResult) {
-	fmt.Fprintf(w, "coarse-to-fine tiers (%d images, %d serial queries x %d rounds)\n",
+	fmt.Fprintf(w, "result cache (%d images, %d serial queries x %d rounds)\n",
 		r.Images, r.QueriesPerRound, r.Rounds)
 	fmt.Fprintf(w, "%-28s p50 %10d ns   p99 %10d ns\n", "exact pipeline", r.ColdP50Ns, r.ColdP99Ns)
-	fmt.Fprintf(w, "%-28s p50 %10d ns   p99 %10d ns\n", "prefilter tier", r.PrefilterP50Ns, r.PrefilterP99Ns)
 	fmt.Fprintf(w, "%-28s p50 %10d ns   p99 %10d ns\n", "warm result cache", r.WarmCacheP50Ns, r.WarmCacheP99Ns)
-	fmt.Fprintf(w, "prefilter candidates: %d -> %d (%.1f%% rejected before exact distance)\n",
-		r.CandidatesIn, r.CandidatesOut, r.ReductionPct)
-	fmt.Fprintf(w, "warm-cache speedup: %.1fx; prefiltered ranking identical: %v\n", r.WarmCacheSpeedup, r.Identical)
+	fmt.Fprintf(w, "warm-cache speedup: %.1fx; cached ranking identical: %v\n", r.WarmCacheSpeedup, r.Identical)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -454,8 +455,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var parseErr error
 	getFloat := func(key string, dst *float64) {
 		if v := q.Get(key); v != "" && parseErr == nil {
+			// ParseFloat accepts "NaN" and "Inf"; neither is a usable
+			// threshold, and a NaN epsilon would match every region.
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0) || math.IsInf(f, 0) {
 				parseErr = fmt.Errorf("bad %s=%q", key, v)
 				return
 			}
@@ -481,14 +484,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			parseErr = fmt.Errorf("bad refine=%q", v)
 		} else {
 			p.Refine = b
-		}
-	}
-	if v := q.Get("prefilter"); v != "" && parseErr == nil {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			parseErr = fmt.Errorf("bad prefilter=%q", v)
-		} else {
-			p.Prefilter = b
 		}
 	}
 	if v := q.Get("nocache"); v != "" && parseErr == nil {
@@ -652,6 +647,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, walrus.ErrUnknownID):
 		return http.StatusNotFound
+	case errors.Is(err, walrus.ErrInvalidParams):
+		return http.StatusBadRequest
 	case errors.Is(err, errSaturated):
 		return http.StatusTooManyRequests
 	case errors.Is(err, errDraining):

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -195,6 +196,42 @@ func TestServeIngestSearchDelete(t *testing.T) {
 	}
 	if w := do(s, "GET", "/v1/search?id=img-3", "", nil); w.Code != http.StatusNotFound {
 		t.Fatalf("search deleted id: got %d, want 404", w.Code)
+	}
+}
+
+// TestServeRejectsNonFiniteParams: strconv.ParseFloat accepts "NaN" and
+// "Inf", and a NaN epsilon matches every region pair, so the parser must
+// refuse non-finite thresholds with 400 — and a non-finite default that
+// reaches the engine must come back as 400 too, not 500.
+func TestServeRejectsNonFiniteParams(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		if w := do(s, "POST", fmt.Sprintf("/v1/images?id=img-%d", i), "", testPPM(t, i)); w.Code != http.StatusCreated {
+			t.Fatalf("ingest img-%d: got %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	for _, q := range []string{"epsilon=NaN", "epsilon=nan", "epsilon=Inf", "epsilon=-Inf", "epsilon=+Inf",
+		"tau=NaN", "tau=Inf", "threshold=NaN"} {
+		if w := do(s, "GET", "/v1/search?id=img-0&"+q, "", nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("search with %s: got %d, want 400: %s", q, w.Code, w.Body.String())
+		}
+	}
+	if w := do(s, "GET", "/v1/search?id=img-0&epsilon=0.085", "", nil); w.Code != http.StatusOK {
+		t.Fatalf("finite epsilon: got %d: %s", w.Code, w.Body.String())
+	}
+
+	db, err := walrus.New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Add("img-0", testImage(0)); err != nil {
+		t.Fatal(err)
+	}
+	bad := walrus.DefaultQueryParams()
+	bad.Epsilon = math.NaN()
+	sb := newTestServer(t, Config{Backend: db, DefaultParams: bad})
+	if w := do(sb, "GET", "/v1/search?id=img-0", "", nil); w.Code != http.StatusBadRequest {
+		t.Fatalf("NaN default epsilon: got %d, want 400: %s", w.Code, w.Body.String())
 	}
 }
 

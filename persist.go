@@ -328,16 +328,16 @@ func OpenFS(dir string, fs FileOpener) (*DB, error) {
 		db.images[ref.Image].Regions[ref.Local] = r
 	}
 
-	// Binary prefilter signatures are derived state, rebuilt from the
-	// regions just attached (catalog refs and WAL-replayed refs alike)
-	// rather than persisted; tombstoned slots stay zero and are never
-	// probed.
-	db.bsigs = make([]binSig, len(db.refs))
+	// The signature slab is derived state, rebuilt from the regions just
+	// attached (catalog refs and WAL-replayed refs alike) rather than
+	// persisted; tombstoned rows stay zero and are skipped by the probe.
+	dim := cat.Opts.Region.Dim()
+	db.sigs = make([]float64, len(db.refs)*dim)
 	for i, ref := range db.refs {
 		if ref.Local < 0 {
 			continue
 		}
-		db.bsigs[i] = makeBinSig(db.images[ref.Image].Regions[ref.Local].Signature)
+		copy(db.sigs[i*dim:(i+1)*dim], db.images[ref.Image].Regions[ref.Local].Signature)
 	}
 
 	db.liveRegions = countLiveRefs(db.refs)

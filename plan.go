@@ -48,24 +48,18 @@ type queryStage struct {
 	run  func(ctx context.Context, ex *stageExec, sp *obs.Span) error
 }
 
-// prefilterEnabled resolves the effective prefilter setting: the coarse
-// tier applies only to centroid-signature databases, whose envelope test
-// is a euclidean bound the binary signatures conservatively approximate.
-// Bounding-box databases match by box overlap, which the probe already
-// tests exactly.
-func prefilterEnabled(p QueryParams, opts Options) bool {
-	return p.Prefilter && !opts.UseBBox
-}
-
 // planPhaseA assembles the probe side of the pipeline — everything up to
-// the per-image pair sets the scorer consumes: probe, then the optional
-// coarse prefilter and refine tiers, then aggregate.
+// the per-image pair sets the scorer consumes: probe, the optional refine
+// tier, then aggregate. The probe is chosen by signature model: centroid
+// databases scan the flat signature slab exactly, bounding-box databases
+// search the R*-tree, whose box test is their match criterion.
 func planPhaseA(p QueryParams, opts Options) []queryStage {
-	stages := make([]queryStage, 0, 4)
-	stages = append(stages, queryStage{name: "probe", run: runProbe})
-	if prefilterEnabled(p, opts) {
-		stages = append(stages, queryStage{name: "prefilter", run: runPrefilter})
+	stages := make([]queryStage, 0, 3)
+	probe := runFlatProbe
+	if opts.UseBBox {
+		probe = runTreeProbe
 	}
+	stages = append(stages, queryStage{name: "probe", run: probe})
 	if p.Refine {
 		stages = append(stages, queryStage{name: "refine", run: runRefine})
 	}
@@ -110,17 +104,16 @@ func runStages(ctx context.Context, stages []queryStage, ex *stageExec, parent *
 	return nil
 }
 
-func runProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	perRegion, err := ex.snap.probeStage(ctx, ex.qRegions, ex.p, ex.workers, ex.tc)
-	if err != nil {
-		return err
-	}
+func runFlatProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
+	perRegion, err := ex.snap.flatProbeStage(ctx, ex.qRegions, ex.p, ex.workers, ex.tc)
 	ex.perRegion = perRegion
-	return nil
+	return err
 }
 
-func runPrefilter(ctx context.Context, ex *stageExec, sp *obs.Span) error {
-	return ex.snap.prefilterStage(ctx, ex.qRegions, ex.perRegion, ex.p, ex.workers, ex.tc)
+func runTreeProbe(ctx context.Context, ex *stageExec, sp *obs.Span) error {
+	perRegion, err := ex.snap.treeProbeStage(ctx, ex.qRegions, ex.p, ex.workers, ex.tc)
+	ex.perRegion = perRegion
+	return err
 }
 
 func runRefine(ctx context.Context, ex *stageExec, sp *obs.Span) error {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -14,12 +15,11 @@ import (
 	"walrus/internal/parallel"
 	"walrus/internal/region"
 	"walrus/internal/rstar"
-	"walrus/internal/wbiis"
 )
 
 // The query pipeline stages. A query runs as a stage plan over one
-// immutable Snapshot — extract, probe, the optional prefilter and refine
-// tiers, aggregate, score — assembled by planPhaseA/planScore and driven
+// immutable Snapshot — extract, probe, the optional refine tier,
+// aggregate, score — assembled by planPhaseA/planScore and driven
 // by runStages (plan.go). Each stage takes only the snapshot and the
 // previous stage's output, so the whole pipeline is lock-free: the
 // catalog slices and the pinned index view cannot change underneath it,
@@ -38,9 +38,9 @@ func signatureRect(useBBox bool, r region.Region) rstar.Rect {
 	return rstar.Point(r.Signature)
 }
 
-// probeHit is one index hit: a matching (query region, target region)
+// probeHit is one probe hit: a matching (query region, target region)
 // pair, the image the target region belongs to, and the index payload
-// locating the region's binary signature in the snapshot's bsigs slice.
+// (the target's row in refs and in the signature slab).
 type probeHit struct {
 	image   int
 	payload int64
@@ -58,24 +58,149 @@ func (s *Snapshot) extractStage(im *imgio.Image) ([]region.Region, error) {
 	return qRegions, nil
 }
 
-// probeStage probes the index with every query region's epsilon
-// envelope. The probes only read the pinned view and the snapshot
+// slabChunkRows is the slab row count of one flat-probe task: small
+// enough that a large slab spreads across the worker pool and a chunk
+// stays in cache while every query region scans it, and a multiple of
+// 64, so every chunk owns whole words of the hit bitsets and tasks never
+// share a word.
+const slabChunkRows = 4096
+
+// abandonSlack and abandonFloor size the flat probe's early-abandon
+// bound: a relative margin far above the few ulps by which two
+// evaluations of the same sum of squares can differ (summed in another
+// order, or with and without fused multiply-add), and a floor that keeps
+// the bound a normal number when ε² would underflow into the
+// subnormals, where it would lose its relative precision.
+const (
+	abandonSlack = 1e-9
+	abandonFloor = 1e-300
+)
+
+// abandonLimit is the partial squared distance past which a slab row is
+// certainly outside the ε-ball: every later term only adds, so euclid's
+// sqrt(sum) > ε holds for any row whose partial sum exceeds it. Rows
+// below it get euclid's own comparison, so the margin can cost an exact
+// check but never a hit.
+func abandonLimit(eps float64) float64 {
+	return math.Max(eps*eps*(1+abandonSlack), abandonFloor)
+}
+
+// flatProbeStage is the probe of centroid-signature databases: an exact
+// scan of the snapshot's signature slab. Each row accumulates its
+// squared distance to the query region a few dimensions at a time and is
+// abandoned once the partial sum passes abandonLimit; a row that
+// survives is kept only if euclid — the same comparison the brute-force
+// oracle match.PairsWithin makes — puts it within ε, and only if its ref
+// is live. The scan fans out over chunks of rows, each task running every
+// query region over its chunk while the chunk is cache-hot. Survivors
+// are marked in one bitset per query region; a counting pass then carves
+// every region's hit list out of a single buffer, in payload order, so
+// the scan itself never allocates. The snapshot's slab holds exactly its
+// own version's rows, so the probe needs no index view and sees the same
+// version on every backend.
+func (s *Snapshot) flatProbeStage(ctx context.Context, qRegions []region.Region, p QueryParams, workers int, tc *traceCollector) ([][]probeHit, error) {
+	core := s.core
+	dim := core.opts.Region.Dim()
+	rows := len(core.refs)
+	words := (rows + 63) / 64
+	chunks := (rows + slabChunkRows - 1) / slabChunkRows
+	limit := abandonLimit(p.Epsilon)
+	// Bit b of word w in query region qi's bitset marks slab row 64w+b
+	// as a live ε-match of that region.
+	hitBits := make([]uint64, len(qRegions)*words)
+	err := parallel.ForErr(chunks, workers, func(c int) error {
+		// The deadline check rides each parallel task: a query whose
+		// context expires mid-probe stops scanning.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lo, hi := c*slabChunkRows, min((c+1)*slabChunkRows, rows)
+		for qi := range qRegions {
+			q := qRegions[qi].Signature[:dim]
+			set := hitBits[qi*words : (qi+1)*words]
+		scan:
+			for i := lo; i < hi; i++ {
+				row := core.sigs[i*dim : (i+1)*dim]
+				row = row[:len(q)]
+				// Four dimensions per abandon test, summed pairwise: most
+				// rows are out of reach within the first four, and the
+				// short dependency chains keep the adds overlapped.
+				sum := 0.0
+				j := 0
+				for ; j+4 <= len(row); j += 4 {
+					d0, d1 := q[j]-row[j], q[j+1]-row[j+1]
+					d2, d3 := q[j+2]-row[j+2], q[j+3]-row[j+3]
+					sum += (d0*d0 + d1*d1) + (d2*d2 + d3*d3)
+					if sum > limit {
+						continue scan
+					}
+				}
+				for ; j < len(row); j++ {
+					d := q[j] - row[j]
+					sum += d * d
+				}
+				if sum > limit || euclid(q, row) > p.Epsilon || core.refs[i].Local < 0 {
+					continue
+				}
+				set[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(qRegions))
+	total := 0
+	for qi := range qRegions {
+		for _, w := range hitBits[qi*words : (qi+1)*words] {
+			counts[qi] += bits.OnesCount64(w)
+		}
+		total += counts[qi]
+	}
+	buf := make([]probeHit, total)
+	perRegion := make([][]probeHit, len(qRegions))
+	next := 0
+	for qi := range qRegions {
+		hits := buf[next : next+counts[qi] : next+counts[qi]]
+		next += counts[qi]
+		n := 0
+		for w, word := range hitBits[qi*words : (qi+1)*words] {
+			for word != 0 {
+				payload := w<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				ref := core.refs[payload]
+				hits[n] = probeHit{image: ref.Image, payload: int64(payload), pair: match.Pair{Q: qi, T: ref.Local}}
+				n++
+			}
+		}
+		perRegion[qi] = hits
+		if tc != nil {
+			// Every live row was examined; no index node was visited.
+			tc.indexHits[qi] = core.liveRegions
+			tc.probeOut[qi] = n
+		}
+	}
+	return perRegion, nil
+}
+
+// treeProbeStage is the probe of bounding-box databases: every query
+// region's box, expanded by epsilon, is searched in the pinned index
+// view, and box overlap — which the search tests exactly — is the match
+// criterion. The probes only read the pinned view and the snapshot
 // catalog, so they fan across the worker pool; each writes its hits into
 // its own slot and the slots are merged in query-region order by the
 // aggregate stage, which keeps pairsByImage — and therefore scores,
 // stats and rankings — identical to the serial query.
 // A nil tc (the common case) adds nothing to the probe path; an EXPLAIN
 // query passes a collector and each task records its region's slot.
-func (s *Snapshot) probeStage(ctx context.Context, qRegions []region.Region, p QueryParams, workers int, tc *traceCollector) ([][]probeHit, error) {
+func (s *Snapshot) treeProbeStage(ctx context.Context, qRegions []region.Region, p QueryParams, workers int, tc *traceCollector) ([][]probeHit, error) {
 	perRegion := make([][]probeHit, len(qRegions))
 	err := parallel.ForErr(len(qRegions), workers, func(qi int) error {
-		// The deadline check rides each parallel task: a query whose
-		// context expires mid-probe stops fanning out more index work.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		qr := qRegions[qi]
-		probe := signatureRect(s.core.opts.UseBBox, qr).Expand(p.Epsilon)
+		probe := signatureRect(true, qRegions[qi]).Expand(p.Epsilon)
 		var entries []rstar.Entry
 		var err error
 		if tc == nil {
@@ -89,10 +214,6 @@ func (s *Snapshot) probeStage(ctx context.Context, qRegions []region.Region, p Q
 		if err != nil {
 			return err
 		}
-		// When the prefilter tier is planned, the exact distance check is
-		// deferred to it: the coarse Hamming/variance tests run first and
-		// the euclidean distance is computed only for survivors.
-		exact := !prefilterEnabled(p, s.core.opts)
 		hits := make([]probeHit, len(entries))
 		n := 0
 		for _, e := range entries {
@@ -107,14 +228,6 @@ func (s *Snapshot) probeStage(ctx context.Context, qRegions []region.Region, p Q
 			if ref.Local < 0 {
 				continue
 			}
-			target := s.core.images[ref.Image].Regions[ref.Local]
-			// Centroid signatures use euclidean distance (the paper's
-			// metric); the box probe over-approximates the euclidean ball,
-			// so filter. Bounding-box signatures match by box overlap,
-			// which the probe tests exactly.
-			if exact && !s.core.opts.UseBBox && euclid(qr.Signature, target.Signature) > p.Epsilon {
-				continue
-			}
 			hits[n] = probeHit{image: ref.Image, payload: e.Data, pair: match.Pair{Q: qi, T: ref.Local}}
 			n++
 		}
@@ -125,63 +238,6 @@ func (s *Snapshot) probeStage(ctx context.Context, qRegions []region.Region, p Q
 		return nil
 	})
 	return perRegion, err
-}
-
-// prefilterStage is the coarse-to-fine rejection tier between probe and
-// refine: each hit is screened by a popcount Hamming test over the
-// precomputed binary signatures (with a bound no true epsilon-match can
-// exceed — see hammingBound), then by the WBIIS variance acceptance test
-// paired with the conservative σ guard (sigmaBound), and only survivors
-// pay the exact euclidean check the probe stage deferred. Both coarse
-// tests are conservative at their default settings, so results match the
-// unfiltered pipeline exactly; PrefilterHamming can trade that guarantee
-// for a harsher cut. Hit lists are filtered in place, fanned and
-// slot-indexed like every other stage.
-func (s *Snapshot) prefilterStage(ctx context.Context, qRegions []region.Region, perRegion [][]probeHit, p QueryParams, workers int, tc *traceCollector) error {
-	dim := s.core.opts.Region.Dim()
-	hBound := p.PrefilterHamming
-	if hBound <= 0 {
-		hBound = hammingBound(dim, p.Epsilon)
-	}
-	beta := p.PrefilterBeta
-	if beta <= 0 {
-		beta = wbiis.DefaultOptions().Beta
-	}
-	sBound := sigmaBound(dim, p.Epsilon)
-	qsigs := make([]binSig, len(qRegions))
-	if tc != nil {
-		tc.prefiltered = true
-	}
-	return parallel.ForErr(len(perRegion), workers, func(qi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		qr := qRegions[qi]
-		qsigs[qi] = makeBinSig(qr.Signature)
-		qb := &qsigs[qi]
-		hits := perRegion[qi]
-		n := 0
-		for _, h := range hits {
-			tb := &s.core.bsigs[h.payload]
-			if qb.hamming(tb) > hBound {
-				continue
-			}
-			if !wbiis.Acceptance(qb.Sigma, tb.Sigma, beta) && math.Abs(qb.Sigma-tb.Sigma) > sBound {
-				continue
-			}
-			target := s.core.images[h.image].Regions[h.pair.T]
-			if euclid(qr.Signature, target.Signature) > p.Epsilon {
-				continue
-			}
-			hits[n] = h
-			n++
-		}
-		perRegion[qi] = hits[:n]
-		if tc != nil {
-			tc.prefilterOut[qi] = n
-		}
-		return nil
-	})
 }
 
 // refineStage is the refined matching phase of Section 5.5: candidate
@@ -338,8 +394,8 @@ func (s *Snapshot) Query(im *imgio.Image, p QueryParams) ([]Match, QueryStats, e
 // unaffected — cancellation never tears published state.
 func (s *Snapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
+	if err := validateParams(p); err != nil {
+		return nil, QueryStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
@@ -354,6 +410,20 @@ func (s *Snapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryPar
 	es.End()
 	stats := QueryStats{QueryRegions: len(qRegions), ExtractTime: statsSince(start)}
 	return s.finishQuery(ctx, qRegions, im.W*im.H, p, start, stats, qspan)
+}
+
+// validateParams rejects parameters no query can honour: ε and τ must be
+// finite and non-negative. The tests are written to fail closed — a NaN
+// ε slips past a plain "< 0" check and, since every comparison with NaN
+// is false, matches every region pair in the database.
+func validateParams(p QueryParams) error {
+	if !(p.Epsilon >= 0) || math.IsInf(p.Epsilon, 0) {
+		return fmt.Errorf("walrus: epsilon %v: %w", p.Epsilon, ErrInvalidParams)
+	}
+	if !(p.Tau >= 0) || math.IsInf(p.Tau, 0) {
+		return fmt.Errorf("walrus: tau %v: %w", p.Tau, ErrInvalidParams)
+	}
+	return nil
 }
 
 // beginQuerySpan opens the live "query" span: a child of the request
@@ -387,8 +457,8 @@ func failSpans(spans ...*obs.Span) {
 // id.
 func (s *Snapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
 	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
+	if err := validateParams(p); err != nil {
+		return nil, QueryStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err

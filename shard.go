@@ -486,8 +486,8 @@ func (ss *ShardedSnapshot) Query(im *imgio.Image, p QueryParams) ([]Match, Query
 // out cross-shard work and returns the context's error.
 func (ss *ShardedSnapshot) QueryContext(ctx context.Context, im *imgio.Image, p QueryParams) ([]Match, QueryStats, error) {
 	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
+	if err := validateParams(p); err != nil {
+		return nil, QueryStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
@@ -526,8 +526,8 @@ func (ss *ShardedSnapshot) beginQuerySpan(ctx context.Context) *obs.Span {
 // against every shard; see Snapshot.QueryByID.
 func (ss *ShardedSnapshot) QueryByID(ctx context.Context, id string, p QueryParams) ([]Match, QueryStats, error) {
 	start := statsClock()
-	if p.Epsilon < 0 {
-		return nil, QueryStats{}, fmt.Errorf("walrus: negative epsilon %v", p.Epsilon)
+	if err := validateParams(p); err != nil {
+		return nil, QueryStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err

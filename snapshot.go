@@ -26,9 +26,9 @@ type snapCore struct {
 	images  []imageRecord
 	refs    []regionRef
 	byID    map[string]int
-	// bsigs is parallel to refs: the binary prefilter summary of each
-	// indexed region, always published at the same length as refs.
-	bsigs []binSig
+	// sigs is the flat signature slab (see DB.sigs), always published
+	// holding exactly len(refs) dim-strided rows.
+	sigs []float64
 
 	liveRegions int
 	indexLen    int
@@ -213,7 +213,7 @@ func (db *DB) publishLocked() {
 		images:      db.images,
 		refs:        db.refs,
 		byID:        db.byID,
-		bsigs:       db.bsigs,
+		sigs:        db.sigs,
 		liveRegions: db.liveRegions,
 		indexLen:    db.tree.Len(),
 		height:      db.tree.Height(),

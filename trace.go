@@ -49,12 +49,8 @@ type ExplainParams struct {
 	Tau           float64 `json:"tau"`
 	Limit         int     `json:"limit"`
 	Refine        bool    `json:"refine"`
-	// Prefilter is the effective coarse-tier setting: false when the
-	// request asked for it but the database indexes bounding boxes, where
-	// the tier does not apply.
-	Prefilter   bool   `json:"prefilter"`
-	Matcher     string `json:"matcher"`
-	Parallelism int    `json:"parallelism"`
+	Matcher       string  `json:"matcher"`
+	Parallelism   int     `json:"parallelism"`
 }
 
 // ExplainStage is one pipeline stage of the candidate funnel. In and Out
@@ -65,10 +61,13 @@ type ExplainStage struct {
 	Stage string `json:"stage"`
 	In    int    `json:"in"`
 	Out   int    `json:"out"`
-	// IndexHits and NodesVisited are nonzero only for the probe stage:
-	// raw index entries returned before catalog/distance filtering, and
-	// R*-tree nodes visited doing it (0 on the GiST backend, which does
-	// not count visits).
+	// IndexHits and NodesVisited are nonzero only for the probe stage.
+	// On centroid-signature databases, whose probe scans the flat
+	// signature slab, IndexHits counts the live slab rows examined and
+	// NodesVisited is 0. On bounding-box databases they are the raw index
+	// entries returned before catalog filtering and the R*-tree nodes
+	// visited doing it (0 on the GiST backend, which does not count
+	// visits).
 	IndexHits    int `json:"index_hits"`
 	NodesVisited int `json:"nodes_visited"`
 	// DurationNS is the stage's wall time; on a sharded query it is the
@@ -117,30 +116,23 @@ type QueryTrace struct {
 // like the stages' own result slots; the scalar fields are written by
 // the single goroutine driving that shard's stages.
 type traceCollector struct {
-	version      uint64
-	indexHits    []int // per query region: raw index entries returned
-	nodeVisits   []int // per query region: index nodes visited
-	probeOut     []int // per query region: hits surviving the probe filter
-	prefilterOut []int // per query region: hits surviving the coarse prefilter
-	refineOut    []int // per query region: hits surviving refine
+	version    uint64
+	indexHits  []int // per query region: slab rows examined or index entries returned
+	nodeVisits []int // per query region: index nodes visited
+	probeOut   []int // per query region: hits surviving the probe
+	refineOut  []int // per query region: hits surviving refine
 
-	// prefiltered records that the plan ran the coarse tier, so fill
-	// knows to emit its funnel row (the effective setting can differ from
-	// the requested one on bounding-box databases).
-	prefiltered bool
-
-	probeNS, prefilterNS, refineNS, aggregateNS, scoreNS int64
-	candidates, matches                                  int
+	probeNS, refineNS, aggregateNS, scoreNS int64
+	candidates, matches                     int
 }
 
 func newTraceCollector(nRegions int, version uint64) *traceCollector {
 	return &traceCollector{
-		version:      version,
-		indexHits:    make([]int, nRegions),
-		nodeVisits:   make([]int, nRegions),
-		probeOut:     make([]int, nRegions),
-		prefilterOut: make([]int, nRegions),
-		refineOut:    make([]int, nRegions),
+		version:    version,
+		indexHits:  make([]int, nRegions),
+		nodeVisits: make([]int, nRegions),
+		probeOut:   make([]int, nRegions),
+		refineOut:  make([]int, nRegions),
 	}
 }
 
@@ -150,8 +142,6 @@ func (tc *traceCollector) recordNS(stage string, ns int64) {
 	switch stage {
 	case "probe":
 		tc.probeNS = ns
-	case "prefilter":
-		tc.prefilterNS = ns
 	case "refine":
 		tc.refineNS = ns
 	case "aggregate":
@@ -187,7 +177,6 @@ func explainParams(p QueryParams) ExplainParams {
 		Tau:           p.Tau,
 		Limit:         p.Limit,
 		Refine:        p.Refine,
-		Prefilter:     p.Prefilter,
 		Matcher:       p.Matcher.String(),
 		Parallelism:   p.Parallelism,
 	}
@@ -209,19 +198,12 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 	qt.Matches = matches
 	qt.ElapsedNS = stats.Elapsed.Nanoseconds()
 
-	prefiltered := len(tcs) > 0 && tcs[0].prefiltered
-	qt.Params.Prefilter = prefiltered
-
-	probeHits, prefilterKept, refineKept := 0, 0, 0
+	probeHits, refineKept := 0, 0
 	probeIndexHits, probeVisits := 0, 0
 	qt.Shards = make([]ExplainShard, len(tcs))
 	for i, tc := range tcs {
 		shardKept := sumInts(tc.probeOut)
 		probeHits += shardKept
-		if prefiltered {
-			shardKept = sumInts(tc.prefilterOut)
-			prefilterKept += shardKept
-		}
 		if p.Refine {
 			shardKept = sumInts(tc.refineOut)
 		}
@@ -238,7 +220,7 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 			RegionsRetrieved: shardKept,
 			CandidateImages:  tc.candidates,
 			Matches:          tc.matches,
-			ProbeNS:          tc.probeNS + tc.prefilterNS + tc.refineNS + tc.aggregateNS,
+			ProbeNS:          tc.probeNS + tc.refineNS + tc.aggregateNS,
 			ScoreNS:          tc.scoreNS,
 		}
 	}
@@ -254,13 +236,6 @@ func (qt *QueryTrace) fill(span *obs.Span, sharded bool, p QueryParams, qRegions
 		DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.probeNS }),
 	})
 	flow := probeHits
-	if prefiltered {
-		qt.Stages = append(qt.Stages, ExplainStage{
-			Stage: "prefilter", In: flow, Out: prefilterKept,
-			DurationNS: maxNS(tcs, func(tc *traceCollector) int64 { return tc.prefilterNS }),
-		})
-		flow = prefilterKept
-	}
 	if p.Refine {
 		qt.Stages = append(qt.Stages, ExplainStage{
 			Stage: "refine", In: flow, Out: refineKept,

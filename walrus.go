@@ -47,6 +47,11 @@ var ErrDuplicateID = errors.New("already indexed")
 // does not contain. The HTTP front-end maps it to 404 Not Found.
 var ErrUnknownID = errors.New("unknown image id")
 
+// ErrInvalidParams reports query parameters no query can honour, such as
+// a negative or non-finite ε or τ. The HTTP front-end maps it to 400 Bad
+// Request.
+var ErrInvalidParams = errors.New("invalid query parameters")
+
 // Options configures a DB at creation time.
 type Options struct {
 	// Region configures region extraction (window sizes, signature size,
@@ -132,23 +137,6 @@ type QueryParams struct {
 	// 1 reproduces the serial query exactly. Results and stats are
 	// identical for every setting; only wall-clock time changes.
 	Parallelism int
-	// Prefilter plans the coarse rejection tier between the index probe
-	// and the refine/score stages: candidate hits are screened with a
-	// popcount Hamming test over precomputed binary signatures and the
-	// WBIIS variance acceptance test before the exact distance check runs
-	// on the survivors. At the default bounds both tests are
-	// conservative, so results are identical with the tier on or off;
-	// only the per-candidate work changes. Ignored by bounding-box
-	// databases (Options.UseBBox), whose probe envelope is exact already.
-	Prefilter bool
-	// PrefilterHamming overrides the Hamming acceptance bound (0 derives
-	// the exactness-preserving bound from Epsilon). Lower values reject
-	// harder but may drop true matches.
-	PrefilterHamming int
-	// PrefilterBeta is the WBIIS variance tolerance β (0 means the WBIIS
-	// default, 0.5). The β-test is backed by a conservative σ guard, so β
-	// tuning affects speed, never correctness.
-	PrefilterBeta float64
 	// NoCache makes this query bypass the version-keyed result cache:
 	// it neither reads nor populates it. Meaningful only on a database
 	// with a cache configured (Options.CacheSize / SetCacheSize).
@@ -255,11 +243,13 @@ type DB struct {
 	images []imageRecord  // guarded by mu
 	byID   map[string]int // guarded by mu
 	refs   []regionRef    // guarded by mu
-	// bsigs holds the binary prefilter signature of each indexed region,
-	// parallel to refs (guarded by mu). Append-only: Remove tombstones the
-	// ref and the stale summary is simply never read again, so snapshots
-	// share the backing array without copy-on-write.
-	bsigs []binSig
+	// sigs is the flat signature slab, parallel to refs (guarded by mu):
+	// row i holds the centroid signature of the region refs[i] locates,
+	// dim-strided, so the probe scans one contiguous array instead of
+	// chasing images[ref.Image].Regions[ref.Local]. Append-only: Remove
+	// tombstones the ref and the stale row is skipped through it, so
+	// snapshots share the backing array without copy-on-write.
+	sigs []float64
 	// liveRegions counts refs whose Local >= 0 (guarded by mu); kept
 	// incrementally so publishing a version is O(1) in catalog size.
 	liveRegions int

@@ -1,6 +1,10 @@
 package walrus
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -181,6 +185,59 @@ func TestQueryTauFiltersAndLimit(t *testing.T) {
 	}
 	if _, _, err := db.Query(q, QueryParams{Epsilon: -1}); err == nil {
 		t.Fatal("negative epsilon accepted")
+	}
+}
+
+// TestQueryRejectsNonFiniteParams: every query entry point, on a plain
+// and on a sharded database, refuses a negative or non-finite ε or τ
+// with ErrInvalidParams. A NaN ε would otherwise pass a plain "< 0"
+// check and match every region pair in the database.
+func TestQueryRejectsNonFiniteParams(t *testing.T) {
+	db, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := testOptions()
+	o.Shards = 3
+	sh, err := NewSharded(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := scene(green, red, 32, 32, 48)
+	for _, b := range []probeTarget{db, sh} {
+		if err := b.Add("a", q); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Add("b", scene(gray, blue, 16, 16, 48)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	var bad []QueryParams
+	for _, v := range []float64{nan, inf, -inf, -1} {
+		p := DefaultQueryParams()
+		p.Epsilon = v
+		bad = append(bad, p)
+		p = DefaultQueryParams()
+		p.Tau = v
+		bad = append(bad, p)
+	}
+	ctx := context.Background()
+	for _, p := range bad {
+		label := fmt.Sprintf("eps=%v tau=%v", p.Epsilon, p.Tau)
+		for name, run := range map[string]func() ([]Match, QueryStats, error){
+			"DB.Query":           func() ([]Match, QueryStats, error) { return db.Query(q, p) },
+			"DB.QueryByID":       func() ([]Match, QueryStats, error) { return db.QueryByID(ctx, "a", p) },
+			"DB.QueryScene":      func() ([]Match, QueryStats, error) { return db.QueryScene(q, 0, 0, 64, 64, p) },
+			"Sharded.Query":      func() ([]Match, QueryStats, error) { return sh.Query(q, p) },
+			"Sharded.QueryByID":  func() ([]Match, QueryStats, error) { return sh.QueryByID(ctx, "a", p) },
+			"Sharded.QueryScene": func() ([]Match, QueryStats, error) { return sh.QueryScene(q, 0, 0, 64, 64, p) },
+		} {
+			matches, _, err := run()
+			if !errors.Is(err, ErrInvalidParams) {
+				t.Fatalf("%s %s: err = %v (%d matches), want ErrInvalidParams", name, label, err, len(matches))
+			}
+		}
 	}
 }
 
